@@ -2886,6 +2886,7 @@ mod tests {
         let moves = c.reassignments();
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].phase, crate::reassign::ReassignPhase::Completed);
+        assert_eq!(moves[0].copied, 10, "the tracker counted the copied log");
     }
 
     #[test]

@@ -28,8 +28,7 @@
 //!
 //! Threading model: brokers are passive state guarded by per-partition
 //! locks; clients drive them from any number of threads. This mirrors
-//! Kafka's design point (partition = unit of parallelism) and is what
-//! the Criterion benches in `octopus-bench` measure.
+//! Kafka's design point (partition = unit of parallelism).
 
 pub mod balance;
 pub mod broker;

@@ -291,9 +291,9 @@ pub enum SeekMode {
     /// Binary search segments by base offset, then the sparse index;
     /// decode starts within one index interval of the target.
     Indexed,
-    /// Pre-index behaviour kept as an honest baseline (and for the
-    /// bench's speedup probe): linear segment lookup, full decode from
-    /// the segment head.
+    /// Pre-index behaviour kept as an honest baseline (the reference
+    /// the equivalence tests hold `Indexed` to): linear segment lookup,
+    /// full decode from the segment head.
     LinearScan,
 }
 
@@ -2617,11 +2617,24 @@ mod tests {
         assert!(!seg_path(&dir, 0).exists(), "cold data file left the hot dir");
         assert!(dir.join(format!("{:020}.tier", 0)).exists(), "tier marker in its place");
         assert!(index::index_path(&dir, 0).exists(), "index stays hot");
+        // a deep read hydrates only the segment holding its target: the
+        // footers bound every sealed segment, so neither seek mode
+        // touches the cold segment in front of it
+        for mode in [SeekMode::Indexed, SeekMode::LinearScan] {
+            let before = m.tier_hydration_count();
+            let deep = store.read_records(13, 5, mode).unwrap();
+            assert_eq!(deep.first().map(|r| r.offset), Some(13), "{mode:?}");
+            assert_eq!(deep.len(), 5, "{mode:?}");
+            assert_eq!(m.tier_hydration_count() - before, 1, "{mode:?} hydrated one segment");
+            assert!(!seg_path(&dir, 0).exists(), "{mode:?} hydrated a segment it passed");
+            assert_eq!(store.offload_now().unwrap(), 1, "the hydrated segment offloads again");
+        }
         // reads through the cold range hydrate transparently
+        let before = m.tier_hydration_count();
         let records = store.read_records(3, 10, SeekMode::Indexed).unwrap();
         assert_eq!(records.first().map(|r| r.offset), Some(3));
         assert_eq!(records.len(), 10);
-        assert!(m.tier_hydration_count() >= 1);
+        assert_eq!(m.tier_hydration_count() - before, 2, "the read spans both cold segments");
         assert!(seg_path(&dir, 0).exists(), "hydration restored the data file");
         // idempotent: re-reading the now-hot segment hydrates nothing new
         let before = m.tier_hydration_count();

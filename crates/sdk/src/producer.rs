@@ -712,20 +712,32 @@ mod tests {
     #[test]
     fn idempotent_sequences_survive_producer_batching() {
         // Many batches through one idempotent producer: offsets stay
-        // dense and distinct (sequence bookkeeping advances correctly).
+        // dense and distinct (sequence bookkeeping advances correctly),
+        // and a fault-free run is never answered from the dedup window.
         let c = Cluster::new(2);
         c.create_topic("t", TopicConfig::default().with_partitions(1)).unwrap();
         let p = Producer::new(
             c.clone(),
             ProducerConfig { batch_events: 7, ..ProducerConfig::idempotent() },
         );
+        let mut handles = Vec::new();
         for i in 0..50 {
-            p.send("t", ev(&format!("e{i}"))).unwrap();
+            handles.push(p.send("t", ev(&format!("e{i}"))).unwrap());
             if i % 11 == 0 {
                 p.flush(); // force uneven batch boundaries
             }
         }
         p.flush();
+        for h in handles {
+            match h.wait() {
+                DeliveryReport::Delivered(r) => assert!(
+                    !r.deduplicated,
+                    "healthy send at offset {} hit the dedup window",
+                    r.base_offset
+                ),
+                DeliveryReport::Failed(e) => panic!("delivery failed: {e}"),
+            }
+        }
         let recs = c.fetch("t", 0, 0, 1000).unwrap();
         assert_eq!(recs.len(), 50);
         let stamped = recs.iter().filter_map(|r| r.eos.as_ref()).count();

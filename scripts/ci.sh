@@ -17,10 +17,9 @@ echo "==> cargo clippy (workspace, vendored shims exempt)"
 # The vendor/ shims are workspace members (so the build needs no
 # network), but the lint gate covers only our own crates.
 cargo clippy --release --no-deps --workspace \
-    --exclude bytes --exclude criterion --exclude crossbeam \
-    --exclude parking_lot --exclude proptest --exclude rand \
-    --exclude rayon --exclude serde --exclude serde_derive \
-    --exclude serde_json -- -D warnings
+    --exclude bytes --exclude crossbeam --exclude parking_lot \
+    --exclude proptest --exclude rand --exclude rayon \
+    --exclude serde --exclude serde_derive --exclude serde_json -- -D warnings
 
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
@@ -52,45 +51,17 @@ if ! jq -e '.ok == true
     exit 1
 fi
 
-echo "==> hot-path bench smoke (invariants checked in-process)"
-# --smoke shrinks the workload; the bench exits nonzero if any probe
-# violates a correctness invariant (dense offsets, acked-record
-# survival across power loss, crc equivalence).
-cargo run --release -q -p octopus-bench --bin hotpath -- --smoke
-if [ ! -s BENCH_hotpath.json ]; then
-    echo "BENCH_hotpath.json missing or empty" >&2
-    exit 1
-fi
-if ! jq -e '.schema == "octopus-hotpath-v1"
-            and (.produce | length == 4)
-            and (.fetch.records_per_sec > 0)
-            and (.group_commit.flushes > 0)
-            and (.eos.idempotent_on.events_per_sec > 0)
-            and (.eos.idempotent_off.events_per_sec > 0)
-            and (.net.tcp.produce_events_per_sec > 0)
-            and (.net.tcp.fetch_records_per_sec > 0)
-            and (.net.in_process.produce_events_per_sec > 0)
-            and (.net.per_api_p99_us.produce > 0)
-            and (.net.tracing.on.produce_events_per_sec > 0)
-            and (.net.tracing.off.produce_events_per_sec > 0)
-            and (.reassignment.within_3x == true)
-            and (.reassignment.moved_records > 0)' BENCH_hotpath.json >/dev/null; then
-    echo "BENCH_hotpath.json malformed (schema/sections)" >&2
-    exit 1
-fi
-# Storage-at-scale gates: the sparse index must beat the linear-scan
-# baseline >=10x on a deep fetch, lz4 must shrink telemetry >=2x at
-# <=15% append overhead, a cold read must hydrate, and a reopen must
-# adopt sealed segments from footers instead of rescanning them.
-if ! jq -e '(.storage.deep_fetch.speedup >= 10)
-            and (.storage.compression.ratio >= 2)
-            and (.storage.compression.overhead_pct <= 15)
-            and (.storage.cold.hydrations >= 1)
-            and (.storage.reopen.sealed_skips >= 1)' BENCH_hotpath.json >/dev/null; then
-    echo "BENCH_hotpath.json storage gates failed:" >&2
-    jq '.storage' BENCH_hotpath.json >&2
-    exit 1
-fi
+echo "==> octobench build + unit tests (stand-alone package, outside the workspace)"
+octobench_manifest=crates/bench/src/bin/octobench/Cargo.toml
+cargo build --release --offline --manifest-path "$octobench_manifest"
+cargo test --release --offline -q --manifest-path "$octobench_manifest"
+
+echo "==> octobench oracle gate (wire_small, exit status only)"
+# Two OS processes, SDK over TCP; the run exits nonzero if its oracle
+# finds any lost, reordered, corrupted or duplicated record. No timing
+# threshold: the numbers are judged by paired runs, not here.
+cargo run --release --offline -q --manifest-path "$octobench_manifest" -- \
+    --workload wire_small --seed 1
 
 echo "==> networked smoke (two OS processes, SCRAM over loopback TCP)"
 # The example spawns a broker process hosting a WireServer, dials it

@@ -258,6 +258,7 @@ fn group_commit_keeps_the_perbatch_durability_barrier() {
         for p in producers {
             p.join().unwrap();
         }
+        assert_eq!(cluster.isr_of("gc", 0).unwrap().len(), 2, "ISR shrank on a healthy cluster");
         // power-lose every broker: only fsynced bytes survive the tear
         for id in 0..2 {
             let _ = cluster.power_loss_broker(BrokerId(id), 0x5EED ^ (id as u64) << 7);

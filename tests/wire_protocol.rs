@@ -315,6 +315,11 @@ fn describe_metrics_roundtrips_exposition_over_loopback() {
         .copied()
         .unwrap_or(0);
     assert!(requests > 0, "the scrape sees the requests that preceded it");
+    let produce_ns = octopus::types::labeled("octopus_wire_request_ns", &[("api", "produce")]);
+    assert!(
+        remote.snapshot.histograms.get(&produce_ns).is_some_and(|h| h.count() >= 3),
+        "the server timed every produce request in its per-api histogram"
+    );
 
     // the snapshot renders into the same exposition format the OWS
     // /metrics route serves, and that text parses back
